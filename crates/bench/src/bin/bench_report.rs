@@ -2,7 +2,7 @@
 //! the artifact behind CI's `perf-smoke` job.
 //!
 //! ```bash
-//! cargo run --release -p moma-bench --bin bench_report              # writes BENCH_PR6.json
+//! cargo run --release -p moma-bench --bin bench_report              # writes BENCH.json
 //! cargo run --release -p moma-bench --bin bench_report -- out.json baseline.json
 //! ```
 //!
@@ -27,8 +27,9 @@
 //! * **trend** — the q-gram threshold path has not regressed against
 //!   the committed baseline report (candidate counts are deterministic
 //!   and must not grow; wall times get a 1.5× tolerance for hardware
-//!   noise). A missing baseline file downgrades this gate to a warning
-//!   so the tool still runs on fresh checkouts.
+//!   noise). The baseline defaults to the committed
+//!   `BENCH_BASELINE.json`; a missing baseline file downgrades this gate
+//!   to a warning so the tool still runs on fresh checkouts.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -93,8 +94,10 @@ fn baseline_threshold_match_ms(text: &str, threads: usize) -> Option<f64> {
 
 fn main() {
     let mut args = std::env::args().skip(1);
-    let out_path = args.next().unwrap_or_else(|| "BENCH_PR6.json".to_owned());
-    let baseline_path = args.next().unwrap_or_else(|| "BENCH_PR5.json".to_owned());
+    let out_path = args.next().unwrap_or_else(|| "BENCH.json".to_owned());
+    let baseline_path = args
+        .next()
+        .unwrap_or_else(|| "BENCH_BASELINE.json".to_owned());
 
     // The large pair: a noisy Google-Scholar-style source, scaled from
     // `small` toward the paper's 64k-entry regime. Seed pinned so every

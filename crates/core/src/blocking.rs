@@ -28,17 +28,20 @@
 //! * **Weighted-prefix TF-IDF blocking** ([`TfIdfIndex`]): the max-weight
 //!   prefix filter of [`moma_simstring::wbounds`] applied to cached
 //!   TF-IDF unit vectors. Range vectors are indexed by token id (one
-//!   [`moma_table::BlockPostings`] per token); a probe unions the
+//!   [`moma_table::PostingList`] per token); a probe unions the
 //!   postings of only its heaviest tokens — the minimal descending-weight
 //!   prefix whose squared mass reaches `1 − t²` — and screens each
 //!   candidate against the exact size-window and minimum-shared-token
 //!   bounds. Like the T-occurrence engine this is lossless: matcher
 //!   results are bit-identical to all-pairs scoring.
 //!
-//! The posting-list storage — tombstoned removal, amortized compaction —
-//! is [`moma_table::GramIndex`] / [`moma_table::SizeBucketedIndex`] /
-//! [`moma_table::BlockPostings`]; this module owns tokenization and the
-//! threshold arithmetic.
+//! Both q-gram indexes store their postings in the one gram store,
+//! [`moma_table::SizeBucketedIndex`], and differ only in how a value
+//! tokenizes and how a probe is parameterized: the prefix filter probes
+//! its `k` rarest grams over every size with an overlap of one, the
+//! threshold plan probes all its grams with the measure's size window
+//! and overlap bound. This module owns tokenization and the threshold
+//! arithmetic; the store owns tombstoning, compaction and merging.
 //!
 //! ## Read-only shared-index probing
 //!
@@ -58,17 +61,18 @@
 //! [`TrigramIndex::insert`], [`TrigramIndex::remove`] (tombstone) and
 //! [`TrigramIndex::update`] (surgical posting swap) patch it in place —
 //! the machinery behind [`crate::delta`]'s incremental matching.
-//! Removal leaves dead posting entries behind until the underlying
-//! [`GramIndex`] compacts; probes filter them,
-//! so candidate sets are always tombstone-exact, while [`TrigramIndex::df`]
-//! may over-count between compactions (harmless for the prefix-filter
-//! guarantee, which holds for *any* choice of probed grams).
+//! Removal leaves dead posting entries behind until the store compacts
+//! ([`compaction_due`]); probes filter them, so candidate sets are
+//! always tombstone-exact, while [`TrigramIndex::df`] may over-count
+//! between compactions (harmless for the prefix-filter guarantee, which
+//! holds for *any* choice of probed grams).
 
 use moma_simstring::bounds::{qgram_measure_of, QgramMeasure};
 use moma_simstring::tokenize::{qgrams, trigrams};
 use moma_simstring::{wbounds, SimFn};
 use moma_table::exec::Parallelism;
-use moma_table::{BlockPostings, FxHashMap, FxHashSet, GramIndex, SizeBucketedIndex};
+use moma_table::size_index::compaction_due;
+use moma_table::{FxHashMap, FxHashSet, PostingList, SizeBucketedIndex};
 
 /// Deduplicated trigram list of a value.
 fn unique_trigrams(value: &str) -> Vec<String> {
@@ -106,113 +110,188 @@ pub(crate) fn tagged_qgrams(value: &str, q: usize) -> Vec<String> {
     grams
 }
 
-/// Inverted trigram index over a set of `(id, value)` pairs.
+/// How a q-gram index turns a value into the sorted, duplicate-free
+/// gram list its store indexes — the only storage-side difference
+/// between the prefix and the threshold plan.
+#[derive(Debug, Clone, Copy, Default)]
+enum Tokenizer {
+    /// Deduplicated trigrams: the prefix filter's gram set.
+    #[default]
+    Trigrams,
+    /// Occurrence-tagged q-grams ([`tagged_qgrams`]): the scoring
+    /// multiset of the threshold plan.
+    TaggedQgrams(usize),
+}
+
+impl Tokenizer {
+    fn grams(self, value: &str) -> Vec<String> {
+        match self {
+            Tokenizer::Trigrams => unique_trigrams(value),
+            Tokenizer::TaggedQgrams(q) => tagged_qgrams(value, q),
+        }
+    }
+
+    /// Gram length.
+    fn q(self) -> usize {
+        match self {
+            Tokenizer::Trigrams => 3,
+            Tokenizer::TaggedQgrams(q) => q,
+        }
+    }
+}
+
+/// The gram store plus the tokenizer feeding it: build, parallel build
+/// and maintenance shared by [`TrigramIndex`] and [`ThresholdIndex`].
+#[derive(Debug, Clone, Default)]
+struct GramStore {
+    index: SizeBucketedIndex,
+    tokenizer: Tokenizer,
+}
+
+impl GramStore {
+    fn new(tokenizer: Tokenizer) -> Self {
+        Self {
+            index: SizeBucketedIndex::new(),
+            tokenizer,
+        }
+    }
+
+    fn build<'a>(tokenizer: Tokenizer, values: impl IntoIterator<Item = (u32, &'a str)>) -> Self {
+        let mut store = Self::new(tokenizer);
+        for (id, value) in values {
+            store.insert(id, value);
+        }
+        store
+    }
+
+    /// Shard `values` across threads, build one store per shard and
+    /// absorb them in shard order. Posting lists stay id-sorted, so the
+    /// result is observationally identical to [`GramStore::build`].
+    fn build_par<V: AsRef<str> + Sync>(
+        tokenizer: Tokenizer,
+        values: &[(u32, V)],
+        par: &Parallelism,
+    ) -> Self {
+        let mut parts = par
+            .run_sharded(values, |shard| {
+                Self::build(tokenizer, shard.iter().map(|(id, v)| (*id, v.as_ref())))
+            })
+            .into_iter();
+        let mut merged = parts.next().unwrap_or_else(|| Self::new(tokenizer));
+        for part in parts {
+            merged.index.absorb(part.index);
+        }
+        merged
+    }
+
+    fn insert(&mut self, id: u32, value: &str) -> bool {
+        self.index.insert(id, &self.tokenizer.grams(value))
+    }
+
+    fn update(&mut self, id: u32, old_value: &str, new_value: &str) -> bool {
+        let old = self.tokenizer.grams(old_value);
+        self.index
+            .replace(id, &old, &self.tokenizer.grams(new_value))
+    }
+}
+
+/// The maintenance API of a q-gram index over its `store:`
+/// [`GramStore`] — identical for both plans by construction.
+macro_rules! gram_store_maintenance {
+    () => {
+        /// Index one value. Returns `false` (a no-op) if `id` is already
+        /// live — use `update` to change an indexed value.
+        pub fn insert(&mut self, id: u32, value: &str) -> bool {
+            self.store.insert(id, value)
+        }
+
+        /// Tombstone an indexed value (see module docs); returns whether
+        /// the id was live. O(1) amortized: dead posting entries are
+        /// swept once [`compaction_due`].
+        pub fn remove(&mut self, id: u32) -> bool {
+            self.store.index.remove(id)
+        }
+
+        /// Replace a live value in place. The caller supplies the old
+        /// value (the index stores no values); its postings are removed
+        /// surgically, the new value's inserted. Returns `false` if `id`
+        /// is not live.
+        pub fn update(&mut self, id: u32, old_value: &str, new_value: &str) -> bool {
+            self.store.update(id, old_value, new_value)
+        }
+
+        /// Sweep tombstoned entries out of the posting lists now.
+        pub fn compact(&mut self) {
+            self.store.index.compact();
+        }
+
+        /// Number of unswept tombstones.
+        pub fn tombstone_count(&self) -> usize {
+            self.store.index.tombstone_count()
+        }
+
+        /// Whether `id` is indexed and not removed.
+        pub fn is_live(&self, id: u32) -> bool {
+            self.store.index.is_live(id)
+        }
+
+        /// Number of live indexed *values* (not postings), including
+        /// values that yield no grams and so are never merged from
+        /// postings.
+        pub fn len(&self) -> usize {
+            self.store.index.len()
+        }
+
+        /// Whether no values are indexed. An index built only from
+        /// gram-less values (e.g. empty strings) is *not* empty by this
+        /// definition even though its postings are.
+        pub fn is_empty(&self) -> bool {
+            self.store.index.is_empty()
+        }
+
+        /// All live ids — gram-less values included, so this always has
+        /// exactly `len()` entries.
+        pub fn all_ids(&self) -> FxHashSet<u32> {
+            self.store.index.all_ids()
+        }
+    };
+}
+
+/// Prefix-filtered trigram index over a set of `(id, value)` pairs.
 #[derive(Debug, Default, Clone)]
 pub struct TrigramIndex {
-    inner: GramIndex,
+    store: GramStore,
 }
 
 impl TrigramIndex {
     /// Build the index.
     pub fn build<'a>(values: impl IntoIterator<Item = (u32, &'a str)>) -> Self {
-        let mut idx = Self::default();
-        for (id, value) in values {
-            idx.insert(id, value);
+        Self {
+            store: GramStore::build(Tokenizer::Trigrams, values),
         }
-        idx
     }
 
-    /// Build the index by sharding `values` across threads: each shard
-    /// builds a private postings map, and the maps are merged in shard
-    /// order. Per-gram posting lists therefore hold ids in input order —
-    /// exactly as [`TrigramIndex::build`] produces them — so the parallel
-    /// build is observationally identical to the sequential one.
+    /// Build the index by sharding `values` across threads and merging
+    /// the shard indexes in shard order — observationally identical to
+    /// [`TrigramIndex::build`].
     pub fn build_par<V: AsRef<str> + Sync>(values: &[(u32, V)], par: &Parallelism) -> Self {
-        let mut parts = par
-            .run_sharded(values, |shard| {
-                let mut idx = Self::default();
-                for (id, v) in shard {
-                    idx.insert(*id, v.as_ref());
-                }
-                idx
-            })
-            .into_iter();
-        let mut merged = parts.next().unwrap_or_default();
-        for part in parts {
-            merged.inner.absorb(part.inner);
+        Self {
+            store: GramStore::build_par(Tokenizer::Trigrams, values, par),
         }
-        merged
     }
 
-    /// Index one value. Returns `false` (a no-op) if `id` is already
-    /// live — use [`TrigramIndex::update`] to change an indexed value.
-    pub fn insert(&mut self, id: u32, value: &str) -> bool {
-        self.inner.insert(id, &unique_trigrams(value))
-    }
-
-    /// Tombstone an indexed value (see module docs); returns whether the
-    /// id was live. O(1) amortized — dead posting entries are swept by
-    /// the underlying index once they exceed a fixed fraction of the
-    /// live population.
-    pub fn remove(&mut self, id: u32) -> bool {
-        self.inner.remove(id)
-    }
-
-    /// Replace a live value in place. The caller supplies the old value
-    /// (the index stores no values); its postings are removed
-    /// surgically, the new value's appended. Returns `false` if `id` is
-    /// not live.
-    pub fn update(&mut self, id: u32, old_value: &str, new_value: &str) -> bool {
-        self.inner
-            .replace(id, &unique_trigrams(old_value), &unique_trigrams(new_value))
-    }
-
-    /// Sweep tombstoned entries out of the posting lists now.
-    pub fn compact(&mut self) {
-        self.inner.compact();
-    }
-
-    /// Override the underlying auto-compaction policy (builder style);
-    /// see [`GramIndex::with_compaction`].
-    pub fn with_compaction(mut self, ratio: f64, floor: usize) -> Self {
-        self.inner = self.inner.with_compaction(ratio, floor);
-        self
-    }
-
-    /// Number of unswept tombstones.
-    pub fn tombstone_count(&self) -> usize {
-        self.inner.tombstone_count()
-    }
-
-    /// Whether `id` is indexed and not removed.
-    pub fn is_live(&self, id: u32) -> bool {
-        self.inner.is_live(id)
-    }
-
-    /// Number of live indexed *values* (not postings): every `(id,
-    /// value)` pair passed to `build` counts once, including values that
-    /// yield no trigrams and can therefore never be returned by
-    /// [`TrigramIndex::candidates`].
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether no values are indexed. Note an index built only from
-    /// gram-less values (e.g. empty strings) is *not* empty by this
-    /// definition even though its postings are.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
+    gram_store_maintenance!();
 
     /// Document frequency of a gram (may over-count by unswept
     /// tombstones; exact after [`TrigramIndex::compact`]).
     pub fn df(&self, gram: &str) -> usize {
-        self.inner.df(gram)
+        self.store.index.df_in_window(gram, 0, u32::MAX)
     }
 
     /// Candidate range ids for `query` under Dice threshold
     /// `dice_threshold`: union of the postings of the query's rarest
-    /// `k = ⌊(1 − t_j)·|G|⌋ + 1` grams (`t_j` the Jaccard equivalent).
+    /// `k = ⌊(1 − t_j)·|G|⌋ + 1` grams (`t_j` the Jaccard equivalent),
+    /// rarity by `(df, gram)`.
     ///
     /// A query producing no trigrams returns exactly the indexed values
     /// that also produced none: two empty gram multisets are identical
@@ -221,25 +300,17 @@ impl TrigramIndex {
     pub fn candidates(&self, query: &str, dice_threshold: f64) -> FxHashSet<u32> {
         let mut grams = unique_trigrams(query);
         if grams.is_empty() {
-            return self.inner.gramless_ids();
+            return self.store.index.gramless_ids();
         }
         let t_d = dice_threshold.clamp(0.0, 1.0);
         let t_j = if t_d >= 1.0 { 1.0 } else { t_d / (2.0 - t_d) };
         let k = (((1.0 - t_j) * grams.len() as f64).floor() as usize + 1).min(grams.len());
-        self.inner.candidates(&mut grams, k)
-    }
-
-    /// Live ids whose values produced no trigrams (see
-    /// [`TrigramIndex::candidates`] on the gramless edge).
-    pub fn gramless_ids(&self) -> FxHashSet<u32> {
-        self.inner.gramless_ids()
-    }
-
-    /// All live ids as candidates (used when the caller disables blocking
-    /// for one probe) — including values that produced no trigrams, so
-    /// this always has exactly [`TrigramIndex::len`] entries.
-    pub fn all_ids(&self) -> FxHashSet<u32> {
-        self.inner.all_ids()
+        // The grams arrive sorted and this sort is stable, so df ties
+        // stay in gram order.
+        grams.sort_by_cached_key(|g| self.df(g));
+        self.store
+            .index
+            .candidates(&grams[..k], 0, u32::MAX, &|_| 1)
     }
 }
 
@@ -261,9 +332,8 @@ impl TrigramIndex {
 /// one on each side of a mapping.
 #[derive(Debug, Clone)]
 pub struct ThresholdIndex {
-    inner: SizeBucketedIndex,
+    store: GramStore,
     measure: QgramMeasure,
-    q: usize,
     threshold: f64,
 }
 
@@ -274,9 +344,8 @@ impl ThresholdIndex {
         debug_assert!(q >= 1, "q-gram length must be at least 1");
         debug_assert!(threshold > 0.0, "threshold blocking needs t > 0");
         Self {
-            inner: SizeBucketedIndex::new(),
+            store: GramStore::new(Tokenizer::TaggedQgrams(q)),
             measure,
-            q,
             threshold,
         }
     }
@@ -288,11 +357,10 @@ impl ThresholdIndex {
         threshold: f64,
         values: impl IntoIterator<Item = (u32, &'a str)>,
     ) -> Self {
-        let mut idx = Self::new(measure, q, threshold);
-        for (id, value) in values {
-            idx.insert(id, value);
+        Self {
+            store: GramStore::build(Tokenizer::TaggedQgrams(q), values),
+            ..Self::new(measure, q, threshold)
         }
-        idx
     }
 
     /// Build the index by sharding `values` across threads (merged in
@@ -304,86 +372,17 @@ impl ThresholdIndex {
         values: &[(u32, V)],
         par: &Parallelism,
     ) -> Self {
-        let mut parts = par
-            .run_sharded(values, |shard| {
-                let mut idx = Self::new(measure, q, threshold);
-                for (id, v) in shard {
-                    idx.insert(*id, v.as_ref());
-                }
-                idx
-            })
-            .into_iter();
-        let mut merged = parts
-            .next()
-            .unwrap_or_else(|| Self::new(measure, q, threshold));
-        for part in parts {
-            merged.inner.absorb(part.inner);
+        Self {
+            store: GramStore::build_par(Tokenizer::TaggedQgrams(q), values, par),
+            ..Self::new(measure, q, threshold)
         }
-        merged
     }
 
-    fn grams(&self, value: &str) -> Vec<String> {
-        tagged_qgrams(value, self.q)
-    }
-
-    /// Index one value. Returns `false` (a no-op) if `id` is already
-    /// live — use [`ThresholdIndex::update`] to change an indexed value.
-    pub fn insert(&mut self, id: u32, value: &str) -> bool {
-        self.inner.insert(id, &self.grams(value))
-    }
-
-    /// Tombstone an indexed value; returns whether the id was live.
-    pub fn remove(&mut self, id: u32) -> bool {
-        self.inner.remove(id)
-    }
-
-    /// Replace a live value in place (the caller supplies the old value;
-    /// the index stores none). Returns `false` if `id` is not live.
-    pub fn update(&mut self, id: u32, old_value: &str, new_value: &str) -> bool {
-        self.inner
-            .replace(id, &self.grams(old_value), &self.grams(new_value))
-    }
-
-    /// Sweep tombstoned entries out of the posting buckets now.
-    pub fn compact(&mut self) {
-        self.inner.compact();
-    }
-
-    /// Override the underlying auto-compaction policy (builder style);
-    /// see [`SizeBucketedIndex::with_compaction`].
-    pub fn with_compaction(mut self, ratio: f64, floor: usize) -> Self {
-        self.inner = self.inner.with_compaction(ratio, floor);
-        self
-    }
-
-    /// Number of unswept tombstones.
-    pub fn tombstone_count(&self) -> usize {
-        self.inner.tombstone_count()
-    }
-
-    /// Whether `id` is indexed and not removed.
-    pub fn is_live(&self, id: u32) -> bool {
-        self.inner.is_live(id)
-    }
-
-    /// Number of live indexed values (gramless ones included).
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether no values are indexed.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
+    gram_store_maintenance!();
 
     /// The measure/q/threshold configuration this index prunes for.
     pub fn config(&self) -> (QgramMeasure, usize, f64) {
-        (self.measure, self.q, self.threshold)
-    }
-
-    /// All live ids (diagnostics; a probe never needs this).
-    pub fn all_ids(&self) -> FxHashSet<u32> {
-        self.inner.all_ids()
+        (self.measure, self.store.tokenizer.q(), self.threshold)
     }
 
     /// Candidate ids for `query`: every live value whose similarity to
@@ -392,10 +391,10 @@ impl ThresholdIndex {
     /// count bound). A gramless query returns exactly the gramless
     /// values — the only ones it can match (similarity 1.0).
     pub fn candidates(&self, query: &str) -> FxHashSet<u32> {
-        let grams = self.grams(query);
+        let grams = self.store.tokenizer.grams(query);
         if grams.is_empty() {
             return if self.threshold <= 1.0 {
-                self.inner.gramless_ids()
+                self.store.index.gramless_ids()
             } else {
                 FxHashSet::default()
             };
@@ -406,7 +405,8 @@ impl ThresholdIndex {
         }
         let clamp = |s: usize| s.min(u32::MAX as usize) as u32;
         let (x, t, m) = (grams.len(), self.threshold, self.measure);
-        self.inner
+        self.store
+            .index
             .candidates(&grams, clamp(lo), clamp(hi), &|cand_size| {
                 clamp(m.min_overlap(t, x, cand_size as usize))
             })
@@ -420,7 +420,7 @@ impl ThresholdIndex {
 /// *cached unit vectors* ([`moma_simstring::TfIdfCorpus::vector`]) of
 /// the range side, with the corpus frozen for the duration of the match
 /// (the attribute matcher builds it from both columns first). Each
-/// token id owns a [`BlockPostings`] list of the indexed ids whose
+/// token id owns a [`PostingList`] list of the indexed ids whose
 /// vectors contain it; per-id metadata (token count, maximum weight)
 /// backs the candidate-side screens.
 ///
@@ -443,7 +443,7 @@ impl ThresholdIndex {
 pub struct TfIdfIndex {
     threshold: f64,
     /// `postings[token id]` = ids of indexed vectors containing it.
-    postings: Vec<BlockPostings>,
+    postings: Vec<PostingList>,
     /// Live id → (token count, max weight) of its non-empty vector.
     meta: FxHashMap<u32, (u32, f64)>,
     /// Live ids whose vectors are empty (token-free values) — the exact
@@ -480,10 +480,10 @@ impl TfIdfIndex {
         idx
     }
 
-    fn posting_mut(&mut self, tid: u32) -> &mut BlockPostings {
+    fn posting_mut(&mut self, tid: u32) -> &mut PostingList {
         let tid = tid as usize;
         if tid >= self.postings.len() {
-            self.postings.resize_with(tid + 1, BlockPostings::new);
+            self.postings.resize_with(tid + 1, PostingList::new);
         }
         &mut self.postings[tid]
     }
@@ -512,8 +512,9 @@ impl TfIdfIndex {
         true
     }
 
-    /// Tombstone a live id; returns whether it was live. Sweeps once
-    /// tombstones exceed a quarter of the live population.
+    /// Tombstone a live id; returns whether it was live. Sweeps the
+    /// postings once [`compaction_due`] over the non-empty vectors (the
+    /// only ones with postings).
     pub fn remove(&mut self, id: u32) -> bool {
         if self.empties.remove(&id) {
             return true;
@@ -522,7 +523,7 @@ impl TfIdfIndex {
             return false;
         }
         self.tombstones.insert(id);
-        if self.tombstones.len() >= 16 && self.tombstones.len() * 4 > self.meta.len() {
+        if compaction_due(self.tombstones.len(), self.meta.len()) {
             self.compact();
         }
         true
@@ -849,6 +850,9 @@ mod tests {
             assert!(!idx.candidates("data", t).contains(&0));
             assert!(!idx.candidates("data", t).contains(&1));
         }
+        // A gram-less query matches exactly the gram-less values.
+        assert_eq!(idx.candidates("", 0.8), [0u32, 1].into_iter().collect());
+        assert_eq!(idx.candidates("?!", 0.3), [0u32, 1].into_iter().collect());
         // An index of only gram-less values: non-empty by len, empty postings.
         let gramless = TrigramIndex::build([(7, "")]);
         assert_eq!(gramless.len(), 1);
@@ -952,13 +956,30 @@ mod tests {
     #[test]
     fn tombstoned_ids_never_surface_before_compaction() {
         let mut idx = TrigramIndex::build(titles());
+        assert_eq!(idx.df("##a"), 2); // ids 0 and 4 start with "A"
         idx.remove(0);
-        assert!(idx.tombstone_count() > 0 || idx.len() == 4);
+        assert_eq!(idx.tombstone_count(), 1);
         let c = idx.candidates("A formal perspective on the view selection problem", 0.4);
         assert!(!c.contains(&0));
         assert!(c.contains(&4));
         assert!(!idx.all_ids().contains(&0));
         assert!(!idx.is_live(0) && idx.is_live(4));
+        // df counts the dead entry until the sweep, then is exact.
+        assert_eq!(idx.df("##a"), 2);
+        idx.compact();
+        assert_eq!(idx.tombstone_count(), 0);
+        assert_eq!(idx.df("##a"), 1);
+    }
+
+    #[test]
+    fn candidates_probe_rarest_grams_first() {
+        // "abc": ##a #ab abc bc# c## — "abc" has df 1, the rest df 2.
+        let idx = TrigramIndex::build([(0, "abc"), (1, "abd"), (2, "xbc")]);
+        // t = 1.0 probes k = 1 gram: the rarest, not the first.
+        assert_eq!(idx.candidates("abc", 1.0), [0u32].into_iter().collect());
+        // t = 0.82 probes k = 2: the df-2 tie goes to the smallest gram,
+        // "##a" (ids 0, 1), not "bc#" (ids 0, 2).
+        assert_eq!(idx.candidates("abc", 0.82), [0u32, 1].into_iter().collect());
     }
 }
 
@@ -1308,6 +1329,56 @@ mod prop_tests {
                         "missed `{}` for `{}` at t={}", v, query, t);
                 }
             }
+        }
+
+        /// The prefix probe is exactly its specification: the union of
+        /// the postings of the query's `k` rarest grams, rarity by
+        /// `(df, gram)` over the live values, after arbitrary
+        /// maintenance. Thresholds reach down to the lossy Dice floors
+        /// (0.3 for non-trigram measures), where the probe returns a set
+        /// no all-pairs comparison can check.
+        #[test]
+        fn prefix_probe_equals_rarest_k_union(
+            values in prop::collection::vec("[a-c !]{0,8}", 1..20),
+            replacement in "[a-c !]{0,8}",
+            query in "[a-c !]{0,8}",
+            t in 0.05f64..=1.0,
+        ) {
+            let mut idx = TrigramIndex::build(
+                values.iter().enumerate().map(|(i, v)| (i as u32, v.as_str())),
+            );
+            let mut current: Vec<Option<String>> = values.iter().cloned().map(Some).collect();
+            for i in (0..values.len()).step_by(3) {
+                idx.remove(i as u32);
+                current[i] = None;
+            }
+            for i in (1..values.len()).step_by(4) {
+                if let Some(old) = current[i].clone() {
+                    idx.update(i as u32, &old, &replacement);
+                    current[i] = Some(replacement.clone());
+                }
+            }
+            // After the sweep the store's df counts live values only.
+            idx.compact();
+            let live: Vec<(u32, Vec<String>)> = current
+                .iter()
+                .enumerate()
+                .filter_map(|(i, v)| v.as_ref().map(|v| (i as u32, unique_trigrams(v))))
+                .collect();
+            let mut q = unique_trigrams(&query);
+            let want: FxHashSet<u32> = if q.is_empty() {
+                live.iter().filter(|(_, g)| g.is_empty()).map(|(i, _)| *i).collect()
+            } else {
+                let df = |g: &String| live.iter().filter(|(_, gs)| gs.contains(g)).count();
+                q.sort_by(|a, b| (df(a), a).cmp(&(df(b), b)));
+                let t_j = if t >= 1.0 { 1.0 } else { t / (2.0 - t) };
+                let k = (((1.0 - t_j) * q.len() as f64).floor() as usize + 1).min(q.len());
+                live.iter()
+                    .filter(|(_, gs)| q[..k].iter().any(|g| gs.contains(g)))
+                    .map(|(i, _)| *i)
+                    .collect()
+            };
+            prop_assert_eq!(idx.candidates(&query, t), want);
         }
 
         /// The T-occurrence engine makes the same promise for all four

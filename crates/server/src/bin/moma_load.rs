@@ -4,8 +4,9 @@
 //!
 //! * `load`     — latency/throughput measurement: N reader threads issue
 //!   `query`/`stats` while the main thread streams deltas; reports
-//!   p50/p99 per class and overall throughput, optionally into a
-//!   `BENCH_*.json` report with a trend gate against a baseline.
+//!   p50/p99 per class and overall throughput into a report
+//!   (`BENCH.json`) with a trend gate against a committed baseline
+//!   (`BENCH_BASELINE.json`).
 //! * `smoke`    — endpoint conformance: drives every endpoint with a
 //!   fixed, deterministic command sequence and asserts the responses.
 //! * `stream`   — deterministic delta traffic: generates the evolving
@@ -44,6 +45,7 @@ modes:
   load      [--addr H:P] [--readers 4] [--requests 200] [--deltas 30]
             [--seed 11] [--churn 0.02] [--scenario-seed 7] [--threads N]
             [--report FILE] [--baseline FILE]
+            (report defaults to BENCH.json, baseline to BENCH_BASELINE.json)
   smoke      --addr H:P
   batch      --addr H:P [--items 6] [--singles 0|1]
             apply a deterministic delta batch (one batch_delta frame, or
@@ -56,6 +58,7 @@ modes:
             recovery, and zero panics
   shard     [--shards 4] [--deltas 300] [--ops 1] [--threads 1] [--wal 0|1]
             [--report FILE] [--baseline FILE]
+            (defaults as for load)
             embedded multi-shard write-scaling bench: per-group writer
             threads stream deltas at --shards N and at 1 shard; the
             N-shard run must beat the 1-shard baseline
@@ -109,6 +112,12 @@ fn main() -> ExitCode {
 
 type Opts = BTreeMap<String, String>;
 
+/// Report `load` and `shard` add their sections to (`bench_report`
+/// writes the rest of it).
+const DEFAULT_REPORT: &str = "BENCH.json";
+/// Committed report the trend gates compare against.
+const DEFAULT_BASELINE: &str = "BENCH_BASELINE.json";
+
 fn parse_opts(args: &[String]) -> Result<Opts, String> {
     let mut out = Opts::new();
     let mut it = args.iter();
@@ -130,6 +139,10 @@ where
         None => Ok(default),
         Some(v) => v.parse().map_err(|e| format!("--{key}: {e}")),
     }
+}
+
+fn opt_str<'a>(opts: &'a Opts, key: &str, default: &'a str) -> &'a str {
+    opts.get(key).map_or(default, String::as_str)
 }
 
 fn connect(opts: &Opts) -> Result<Client, String> {
@@ -855,13 +868,10 @@ fn cmd_shard(opts: &Opts) -> Result<ExitCode, String> {
         ("single_shard_wall_s", Json::Num(round3(single_wall))),
         ("sharded_wall_s", Json::Num(round3(shard_wall))),
     ]);
-    if let Some(path) = opts.get("report") {
-        write_report(path, "serve_shard", &report)?;
-        eprintln!("shard: serve_shard section written to {path}");
-    }
-    if let Some(baseline) = opts.get("baseline") {
-        gate_shard_baseline(baseline, &report)?;
-    }
+    let path = opt_str(opts, "report", DEFAULT_REPORT);
+    write_report(path, "serve_shard", &report)?;
+    eprintln!("shard: serve_shard section written to {path}");
+    gate_shard_baseline(opt_str(opts, "baseline", DEFAULT_BASELINE), &report)?;
     println!("SHARD_SCALING_OK {speedup:.2}");
     Ok(ExitCode::SUCCESS)
 }
@@ -1365,13 +1375,10 @@ fn cmd_load(opts: &Opts) -> Result<ExitCode, String> {
         ),
     )?;
 
-    if let Some(path) = opts.get("report") {
-        write_report(path, "serve_load", &report)?;
-        eprintln!("load: serve_load section written to {path}");
-    }
-    if let Some(baseline) = opts.get("baseline") {
-        gate_against_baseline(baseline, &report)?;
-    }
+    let path = opt_str(opts, "report", DEFAULT_REPORT);
+    write_report(path, "serve_load", &report)?;
+    eprintln!("load: serve_load section written to {path}");
+    gate_against_baseline(opt_str(opts, "baseline", DEFAULT_BASELINE), &report)?;
     Ok(ExitCode::SUCCESS)
 }
 

@@ -58,9 +58,6 @@ pub mod wal;
 pub use client::Client;
 pub use engine::{CommandCounts, DurabilityPolicy, Engine, ReplaySummary};
 pub use json::Json;
-pub use server::{
-    run, run_sharded, run_with_limits, spawn, spawn_sharded, spawn_with_limits, Limits,
-    ServerHandle,
-};
+pub use server::{run_sharded, spawn, spawn_sharded, spawn_with_limits, Limits, ServerHandle};
 pub use shard::ShardRouter;
 pub use wal::Wal;

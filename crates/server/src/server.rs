@@ -247,18 +247,6 @@ pub fn spawn_sharded(engines: Vec<Engine>, addr: &str, limits: Limits) -> io::Re
     })
 }
 
-/// Bind `addr` and serve on the current thread until shutdown, with
-/// default [`Limits`].
-pub fn run(engine: Engine, addr: &str) -> io::Result<()> {
-    run_with_limits(engine, addr, Limits::default())
-}
-
-/// Bind `addr` and serve on the current thread until shutdown, with
-/// explicit admission limits.
-pub fn run_with_limits(engine: Engine, addr: &str, limits: Limits) -> io::Result<()> {
-    run_sharded(vec![engine], addr, limits)
-}
-
 /// Bind `addr` and serve `engines` (one per shard) on the current
 /// thread until shutdown.
 pub fn run_sharded(engines: Vec<Engine>, addr: &str, limits: Limits) -> io::Result<()> {

@@ -19,14 +19,14 @@
 //! * [`exec`] — the deterministic sharded-execution layer
 //!   ([`Parallelism`]) behind the parallel joins and matchers,
 //! * [`agg`] — grouped path aggregation for the compose operator,
-//! * [`gram_index`] — an incrementally maintainable inverted gram index
-//!   (tombstoned removal + amortized compaction) backing the blocking
-//!   index of `moma-core` and its delta maintenance,
-//! * [`size_index`] — the size-bucketed variant with CPMerge-style
-//!   count-filtered candidate merging, backing threshold-exact blocking,
-//! * [`postings`] — the block-compressed posting-list representation
-//!   (per-block maxima, galloping intersection, chunked membership
-//!   lanes) both gram indexes store their id lists in,
+//! * [`size_index`] — the gram posting store: an incrementally
+//!   maintainable (tombstoned removal + amortized compaction),
+//!   size-bucketed inverted gram index with CPMerge-style count-filtered
+//!   candidate merging, backing every q-gram blocking plan of
+//!   `moma-core` (prefix-filtered and threshold-exact) and its delta
+//!   maintenance,
+//! * [`postings`] — the sorted posting lists the gram store and the
+//!   TF-IDF blocking index keep their ids in,
 //! * [`tsv`] — plain-text persistence of mapping tables,
 //! * [`hash`] — a fast FxHash-style hasher used for all internal maps
 //!   (integer-keyed hashing is on the hot path of every join).
@@ -37,7 +37,6 @@
 
 pub mod agg;
 pub mod exec;
-pub mod gram_index;
 pub mod hash;
 pub mod index;
 pub mod interner;
@@ -49,11 +48,10 @@ pub mod stats;
 pub mod tsv;
 
 pub use exec::Parallelism;
-pub use gram_index::{GramIndex, GramIndexDelta};
 pub use hash::{FxHashMap, FxHashSet};
 pub use index::Adjacency;
 pub use interner::StringInterner;
 pub use mapping_table::{Correspondence, MappingTable};
-pub use postings::BlockPostings;
+pub use postings::PostingList;
 pub use size_index::SizeBucketedIndex;
 pub use stats::TableStats;

@@ -1,36 +1,39 @@
-//! Size-bucketed inverted gram index with count-filtered candidate
-//! merging — the storage engine behind threshold-exact blocking.
+//! The gram posting store: a size-bucketed inverted gram index with
+//! count-filtered candidate merging — the storage engine behind every
+//! q-gram blocking plan of `moma_core::blocking`.
 //!
 //! [`SizeBucketedIndex`] partitions every gram's posting list by the
-//! *gram-set size* of the indexed value. A threshold-aware caller (see
-//! `moma_core::blocking`) probes it with a size window `[min_size,
-//! max_size]` and a per-size minimum-overlap function, and gets back
-//! exactly the ids that (a) fall in the window and (b) share at least
-//! the required number of grams with the query — the SimString
-//! *T-occurrence* problem, solved CPMerge-style:
+//! *gram-set size* of the indexed value. A caller probes it with a size
+//! window `[min_size, max_size]` and a per-size minimum-overlap function,
+//! and gets back exactly the ids that (a) fall in the window and (b)
+//! share at least the required number of grams with the query — the
+//! SimString *T-occurrence* problem, solved CPMerge-style:
 //!
 //! 1. query grams are ordered rarest-first (document frequency within
-//!    the window),
+//!    the window, ties broken by the gram),
 //! 2. the first `n − τ_min + 1` posting lists seed the candidate set
 //!    with occurrence counts (any qualifying id must appear in one of
 //!    them — it can miss at most `τ − 1` of the query's grams),
 //! 3. the remaining (frequent) lists are *galloped* against the sorted
-//!    survivor set (exponential search through whichever side is longer
-//!    — see [`crate::postings`]), and candidates that can no longer
-//!    reach their per-size requirement are abandoned after every list.
+//!    survivor set (see [`gallop_lower_bound`]), and candidates that can
+//!    no longer reach their per-size requirement are abandoned after
+//!    every list.
+//!
+//! Both blocking plans are probes of this one store. The threshold-exact
+//! plan passes the measure's size window and overlap bound; the prefix
+//! filter passes its `k` rarest grams with the window `[0, u32::MAX]`
+//! and `min_overlap = 1`, which is exactly the union of those `k`
+//! posting lists.
 //!
 //! Grams are interned to dense handles ([`StringInterner`]) so each
 //! probe hashes every query gram once and array-indexes from then on;
-//! the per-size id lists are block-compressed [`BlockPostings`].
+//! the per-size id lists are sorted [`PostingList`]s.
 //!
-//! Like its unbucketed sibling [`crate::gram_index::GramIndex`], the
-//! index is incrementally maintainable: O(1) tombstoned removal,
-//! surgical replace, amortized compaction (configurable via
-//! [`SizeBucketedIndex::with_compaction`]), shard-mergeable batch builds
-//! ([`SizeBucketedIndex::absorb`]), and batched deltas
-//! ([`SizeBucketedIndex::apply_delta`] over the shared
-//! [`GramIndexDelta`]). Probes filter tombstones, so candidate sets are
-//! exact at every point between compactions.
+//! The index is incrementally maintainable: O(1) tombstoned removal,
+//! surgical replace, amortized compaction ([`compaction_due`]) and
+//! shard-mergeable batch builds ([`SizeBucketedIndex::absorb`]). Probes
+//! filter tombstones, so candidate sets are exact at every point between
+//! compactions; only document frequencies over-count until the sweep.
 //!
 //! Values whose gram list is empty occupy the special size-0 bucket:
 //! they have no postings and can never be merged candidates, but they
@@ -40,10 +43,26 @@
 
 use std::collections::BTreeMap;
 
-use crate::gram_index::{GramIndexDelta, COMPACTION_FLOOR, COMPACTION_RATIO};
 use crate::hash::{FxHashMap, FxHashSet};
 use crate::interner::StringInterner;
-use crate::postings::{gallop_lower_bound, BlockPostings};
+use crate::postings::{gallop_lower_bound, PostingList};
+
+/// Compaction trigger: sweep once `tombstones > live * COMPACTION_RATIO`
+/// (and at least [`COMPACTION_FLOOR`] tombstones exist).
+pub const COMPACTION_RATIO: f64 = 0.25;
+
+/// Minimum number of tombstones before a sweep is considered — tiny
+/// indexes aren't worth sweeping.
+pub const COMPACTION_FLOOR: usize = 16;
+
+/// Whether an index holding `tombstones` unswept removals over `live`
+/// values should compact now. Sweeping is O(postings), so triggering it
+/// at a constant tombstone fraction amortizes it to O(1) per removal
+/// while bounding dead-entry overhead to a constant factor. Shared by
+/// every tombstoning index in MOMA.
+pub fn compaction_due(tombstones: usize, live: usize) -> bool {
+    tombstones >= COMPACTION_FLOOR && tombstones as f64 > live as f64 * COMPACTION_RATIO
+}
 
 /// Inverted index from gram to id posting lists partitioned by the
 /// gram-set size of the indexed value.
@@ -52,13 +71,13 @@ use crate::postings::{gallop_lower_bound, BlockPostings};
 /// [`SizeBucketedIndex::replace`] must be duplicate-free (the caller
 /// tokenizes; multiset tokenizers tag repeated grams — see
 /// `moma_core::blocking`); the list length is the value's size key.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SizeBucketedIndex {
     /// Gram string ↔ dense handle; `postings[handle]` holds the gram's
     /// size-bucketed lists.
     grams: StringInterner,
-    /// gram handle → size bucket → block-compressed sorted ids.
-    postings: Vec<BTreeMap<u32, BlockPostings>>,
+    /// gram handle → size bucket → sorted ids.
+    postings: Vec<BTreeMap<u32, PostingList>>,
     /// Live id → gram-set size (0 for gramless values).
     sizes: FxHashMap<u32, u32>,
     /// Live ids with gram-set size 0 (subset of `sizes`), maintained
@@ -66,44 +85,17 @@ pub struct SizeBucketedIndex {
     gramless: FxHashSet<u32>,
     /// Removed ids whose posting entries have not been swept yet.
     tombstones: FxHashSet<u32>,
-    /// Compact when `tombstones > live * ratio` (and ≥ floor exist).
-    compaction_ratio: f64,
-    compaction_floor: usize,
-}
-
-impl Default for SizeBucketedIndex {
-    fn default() -> Self {
-        Self {
-            grams: StringInterner::new(),
-            postings: Vec::new(),
-            sizes: FxHashMap::default(),
-            gramless: FxHashSet::default(),
-            tombstones: FxHashSet::default(),
-            compaction_ratio: COMPACTION_RATIO,
-            compaction_floor: COMPACTION_FLOOR,
-        }
-    }
 }
 
 impl SizeBucketedIndex {
-    /// Empty index with the default compaction policy.
+    /// Empty index.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Override the auto-compaction policy (builder style): sweep when
-    /// unswept tombstones exceed both `floor` (absolute) and `ratio` ×
-    /// the live population. `ratio = 0.0, floor = 0` sweeps on every
-    /// removal; `ratio = f64::INFINITY` never sweeps automatically.
-    pub fn with_compaction(mut self, ratio: f64, floor: usize) -> Self {
-        self.compaction_ratio = ratio;
-        self.compaction_floor = floor;
-        self
-    }
-
     /// Bucket map of an interned gram handle, growing the arena on
     /// first touch.
-    fn buckets_mut(&mut self, gid: u32) -> &mut BTreeMap<u32, BlockPostings> {
+    fn buckets_mut(&mut self, gid: u32) -> &mut BTreeMap<u32, PostingList> {
         let gid = gid as usize;
         if gid >= self.postings.len() {
             self.postings.resize_with(gid + 1, BTreeMap::new);
@@ -111,7 +103,7 @@ impl SizeBucketedIndex {
         &mut self.postings[gid]
     }
 
-    fn buckets(&self, gram: &str) -> Option<&BTreeMap<u32, BlockPostings>> {
+    fn buckets(&self, gram: &str) -> Option<&BTreeMap<u32, PostingList>> {
         self.grams.get(gram).map(|gid| &self.postings[gid as usize])
     }
 
@@ -142,15 +134,17 @@ impl SizeBucketedIndex {
         true
     }
 
-    /// Tombstone a live id; returns whether it was live. May trigger a
-    /// compaction sweep (see [`SizeBucketedIndex::with_compaction`]).
+    /// Tombstone a live id; returns whether it was live. Sweeps the
+    /// postings once [`compaction_due`].
     pub fn remove(&mut self, id: u32) -> bool {
         if self.sizes.remove(&id).is_none() {
             return false;
         }
         self.gramless.remove(&id);
         self.tombstones.insert(id);
-        self.maybe_compact();
+        if compaction_due(self.tombstones.len(), self.sizes.len()) {
+            self.compact();
+        }
         true
     }
 
@@ -191,20 +185,6 @@ impl SizeBucketedIndex {
         true
     }
 
-    /// Apply a batch of changes (same delta type the flat
-    /// [`GramIndex`](crate::gram_index::GramIndex) consumes).
-    pub fn apply_delta(&mut self, delta: &GramIndexDelta) {
-        for &id in &delta.removed {
-            self.remove(id);
-        }
-        for (id, old, new) in &delta.replaced {
-            self.replace(*id, old, new);
-        }
-        for (id, grams) in &delta.added {
-            self.insert(*id, grams);
-        }
-    }
-
     /// Sweep tombstoned ids out of every posting bucket now.
     pub fn compact(&mut self) {
         if self.tombstones.is_empty() {
@@ -216,14 +196,6 @@ impl SizeBucketedIndex {
                 list.retain(|id| !dead.contains(&id));
                 !list.is_empty()
             });
-        }
-    }
-
-    fn maybe_compact(&mut self) {
-        if self.tombstones.len() >= self.compaction_floor
-            && self.tombstones.len() as f64 > self.sizes.len() as f64 * self.compaction_ratio
-        {
-            self.compact();
         }
     }
 
@@ -423,7 +395,7 @@ impl SizeBucketedIndex {
 /// Bump the count of every survivor whose id appears in `list`,
 /// galloping through the longer side. `survivors` must be id-sorted;
 /// order is preserved.
-fn bump_common(survivors: &mut [(u32, u32, u32)], list: &BlockPostings) {
+fn bump_common(survivors: &mut [(u32, u32, u32)], list: &PostingList) {
     let ids = list.ids();
     if survivors.is_empty() || ids.is_empty() {
         return;
@@ -588,27 +560,6 @@ mod tests {
     }
 
     #[test]
-    fn apply_delta_batches() {
-        let mut idx = sample();
-        let delta = GramIndexDelta {
-            added: vec![(10, grams("new entry data"))],
-            removed: vec![1, 77],
-            replaced: vec![(
-                2,
-                grams("fuzzy match data cleaning"),
-                grams("robust fuzzy match"),
-            )],
-        };
-        idx.apply_delta(&delta);
-        assert_eq!(idx.len(), 5); // -1 +1
-        assert!(probe(&idx, "new entry", 2).contains(&10));
-        assert!(!idx.is_live(1));
-        assert_eq!(idx.size_of(2), Some(3));
-        assert!(probe(&idx, "robust fuzzy", 2).contains(&2));
-        assert!(!probe(&idx, "data cleaning", 2).contains(&2));
-    }
-
-    #[test]
     fn incremental_equals_rebuild() {
         let mut idx = SizeBucketedIndex::new();
         let mut state: std::collections::BTreeMap<u32, String> = Default::default();
@@ -674,34 +625,66 @@ mod tests {
     }
 
     #[test]
-    fn compaction_policy_edges() {
-        // ratio 0, floor 0: swept on every removal — tombstones never
-        // observable.
-        let mut eager = SizeBucketedIndex::new().with_compaction(0.0, 0);
-        for i in 0..50u32 {
-            eager.insert(i, &grams(&format!("value number {i}")));
+    fn compaction_due_policy() {
+        // Below the floor nothing is swept, however dead the index.
+        assert!(!compaction_due(COMPACTION_FLOOR - 1, 0));
+        // At the floor the ratio decides: strictly more than a quarter
+        // of the live population.
+        assert!(compaction_due(16, 63));
+        assert!(!compaction_due(16, 64));
+        assert!(compaction_due(100, 399));
+        assert!(!compaction_due(100, 400));
+        // Identical to the integer form `t >= 16 && t * 4 > live`.
+        for t in 0..80usize {
+            for live in 0..400usize {
+                assert_eq!(
+                    compaction_due(t, live),
+                    t >= 16 && t * 4 > live,
+                    "{t}/{live}"
+                );
+            }
         }
-        for i in 0..50u32 {
-            eager.remove(i);
-            assert_eq!(eager.tombstone_count(), 0, "id {i} not swept eagerly");
-        }
-        assert!(eager.is_empty());
+    }
 
-        // ratio ∞: never auto-swept, even at 100% tombstones; probes
-        // stay exact and an explicit compact() still works.
-        let mut lazy = SizeBucketedIndex::new().with_compaction(f64::INFINITY, 0);
-        for i in 0..50u32 {
-            lazy.insert(i, &grams(&format!("value number {i}")));
+    #[test]
+    fn automatic_compaction_bounds_tombstones() {
+        let mut idx = SizeBucketedIndex::new();
+        for i in 0..200u32 {
+            idx.insert(i, &grams(&format!("value number {i}")));
         }
-        for i in 0..50u32 {
-            lazy.remove(i);
+        for i in 0..150u32 {
+            idx.remove(i);
         }
-        assert_eq!(lazy.tombstone_count(), 50);
-        assert!(lazy.is_empty());
-        assert!(probe(&lazy, "value number 7", 1).is_empty());
-        lazy.compact();
-        assert_eq!(lazy.tombstone_count(), 0);
-        assert_eq!(lazy.df_in_window("value", 0, u32::MAX), 0);
+        assert_eq!(idx.len(), 50);
+        // Tombstones never exceed the compaction bound.
+        assert!(
+            !compaction_due(idx.tombstone_count(), idx.len()),
+            "tombstones {} never swept",
+            idx.tombstone_count()
+        );
+        // Every remaining probe answer is live.
+        for i in 150..200u32 {
+            let c = probe(&idx, &format!("value number {i}"), 1);
+            assert!(c.contains(&i));
+            assert!(c.iter().all(|id| *id >= 150));
+        }
+    }
+
+    #[test]
+    fn gramless_ids_tracked_through_maintenance() {
+        let mut idx = sample(); // id 3 is gramless
+        assert_eq!(idx.gramless_ids(), [3u32].into_iter().collect());
+        // Replace to/from gramless moves ids in and out of the set.
+        assert!(idx.replace(0, &grams("data cleaning system"), &grams("")));
+        assert_eq!(idx.gramless_ids(), [0u32, 3].into_iter().collect());
+        assert!(idx.replace(3, &grams(""), &grams("now has grams")));
+        assert_eq!(idx.gramless_ids(), [0u32].into_iter().collect());
+        // Removal drops the id.
+        assert!(idx.remove(0));
+        assert!(idx.gramless_ids().is_empty());
+        // Fresh gramless insert after removal.
+        assert!(idx.insert(9, &grams("")));
+        assert_eq!(idx.gramless_ids(), [9u32].into_iter().collect());
     }
 
     #[test]
@@ -750,8 +733,7 @@ mod prop_tests {
             width in 0u32..6,
             tau in 1u32..5,
         ) {
-            let idx = SizeBucketedIndex::default();
-            let mut idx = idx;
+            let mut idx = SizeBucketedIndex::new();
             let toks: Vec<Vec<String>> = values.iter().map(|v| grams(v)).collect();
             for (i, t) in toks.iter().enumerate() {
                 idx.insert(i as u32, t);
@@ -779,7 +761,9 @@ mod prop_tests {
             replacement in "[a-e]( [a-e]){0,7}",
             query in "[a-e]( [a-e]){0,7}",
         ) {
-            let mut idx = SizeBucketedIndex::new().with_compaction(f64::INFINITY, 0);
+            // Fewer removals than COMPACTION_FLOOR: nothing is swept, so
+            // the probe runs over tombstoned postings.
+            let mut idx = SizeBucketedIndex::new();
             let mut current: Vec<Option<Vec<String>>> =
                 values.iter().map(|v| Some(grams(v))).collect();
             for (i, t) in current.iter().enumerate() {
@@ -789,6 +773,7 @@ mod prop_tests {
                 idx.remove(i as u32);
                 current[i] = None;
             }
+            prop_assert_eq!(idx.tombstone_count(), values.len().div_ceil(3));
             let rep = grams(&replacement);
             for i in (1..values.len()).step_by(4) {
                 if let Some(old) = current[i].clone() {
@@ -821,13 +806,15 @@ mod prop_tests {
             query in "[a-c]( [a-c]){0,6}",
             tau in 1u32..4,
         ) {
-            let mut idx = SizeBucketedIndex::new().with_compaction(f64::INFINITY, 0);
+            let mut idx = SizeBucketedIndex::new();
             for (i, v) in values.iter().enumerate() {
                 idx.insert(i as u32, &grams(v));
             }
             for i in (0..values.len() as u32).step_by(2) {
                 idx.remove(i);
             }
+            // Fewer removals than COMPACTION_FLOOR: all still unswept.
+            prop_assert_eq!(idx.tombstone_count(), values.len().div_ceil(2));
             let mut fresh = SizeBucketedIndex::new();
             for (i, v) in values.iter().enumerate() {
                 if i % 2 != 0 {
